@@ -6,7 +6,7 @@
 //! paper adopts. The ages of overflow victims are the raw material of the
 //! congestion signal in the adaptive mechanism.
 
-use agb_types::{EventId, FastHashMap, FastHashSet};
+use agb_types::{EventId, FastHashSet, Payload};
 
 use crate::event::Event;
 
@@ -32,17 +32,21 @@ pub enum PurgeReason {
     AgeCap,
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
-    event: Event,
-    inserted: u64,
-}
-
 /// Bounded buffer of events with age-based eviction (highest age first,
 /// FIFO among equal ages).
 ///
 /// Capacity is dynamic: the paper's Figure 9 experiment shrinks and grows
 /// node buffers at runtime, which maps to [`EventBuffer::set_capacity`].
+///
+/// # Layout
+///
+/// Events sit in insertion order in three parallel arrays: ids, ages and
+/// payloads. The overflow victim is the first position holding the
+/// maximum age — a scan over a dense `u32` array — and the snapshot is a
+/// straight copy. A small open-addressed table maps ids to positions, so
+/// an id probe stays O(1) expected at any capacity. At the shipped
+/// 60–90 event capacities one node's whole buffer spans a few dozen
+/// cache lines; see docs/ARCHITECTURE.md, "Per-node receive state".
 ///
 /// # Example
 ///
@@ -62,21 +66,36 @@ struct Slot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventBuffer {
-    /// Slots stored inline in the map: the dedup/merge probe on the
-    /// receive hot path touches exactly one table, which matters at 10k+
-    /// nodes where every probe is a cold cache access.
-    slots: FastHashMap<EventId, Slot>,
+    /// Buffered ids, oldest insertion first.
+    ids: Vec<EventId>,
+    /// `ages[i]` is the age of `ids[i]`.
+    ages: Vec<u32>,
+    /// `payloads[i]` belongs to `ids[i]`; kept apart so the probe and
+    /// the victim scan never touch them.
+    payloads: Vec<Payload>,
+    /// Linear-probing table of positions into `ids` (`EMPTY` = free
+    /// slot). Its length is 0 or a power of two at least twice `len()`.
+    index: Vec<u32>,
     capacity: usize,
-    next_seq: u64,
 }
+
+/// A free slot of [`EventBuffer::index`].
+const EMPTY: u32 = u32::MAX;
+
+/// Smallest non-empty index table.
+const MIN_INDEX: usize = 8;
 
 impl EventBuffer {
     /// Creates a buffer holding at most `capacity` events.
+    ///
+    /// Storage grows on demand, up to the occupancy actually reached.
     pub fn new(capacity: usize) -> Self {
         EventBuffer {
-            slots: FastHashMap::default(),
+            ids: Vec::new(),
+            ages: Vec::new(),
+            payloads: Vec::new(),
+            index: Vec::new(),
             capacity,
-            next_seq: 0,
         }
     }
 
@@ -86,55 +105,76 @@ impl EventBuffer {
     }
 
     /// Changes the capacity at runtime. If the buffer shrinks below the
-    /// current occupancy, the overflow victims are returned.
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<PurgedEvent> {
+    /// current occupancy, the overflow victims are appended to `purged`
+    /// in eviction order.
+    pub fn set_capacity(&mut self, capacity: usize, purged: &mut Vec<PurgedEvent>) {
         self.capacity = capacity;
-        self.evict_overflow()
+        self.evict_overflow(purged);
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.ids.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.ids.is_empty()
     }
 
     /// Whether `id` is currently buffered.
     pub fn contains(&self, id: EventId) -> bool {
-        self.slots.contains_key(&id)
+        self.find(id).is_some()
     }
 
-    /// Inserts a new event; if the buffer overflows, evicts the oldest
+    /// The buffered ids, oldest insertion first.
+    pub fn ids(&self) -> &[EventId] {
+        &self.ids
+    }
+
+    /// The ages of [`EventBuffer::ids`], position for position.
+    pub fn ages(&self) -> &[u32] {
+        &self.ages
+    }
+
+    /// Inserts an event; if the buffer overflows, evicts the oldest
     /// (highest-age) events and returns them.
     ///
     /// Inserting an id that is already buffered max-merges the age instead
     /// (duplicate handling of Figure 1).
     pub fn insert(&mut self, event: Event) -> Vec<PurgedEvent> {
-        if let Some(slot) = self.slots.get_mut(&event.id()) {
-            slot.event.merge_age(event.age());
-            return Vec::new();
+        let mut purged = Vec::new();
+        if !self.merge_age(event.id(), event.age()) {
+            self.insert_new(event, &mut purged);
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.slots.insert(
-            event.id(),
-            Slot {
-                event,
-                inserted: seq,
-            },
-        );
-        self.evict_overflow()
+        purged
+    }
+
+    /// Inserts an event whose id the caller knows is not buffered (a
+    /// miss of [`EventBuffer::merge_age`] just before); overflow victims
+    /// are appended to `purged`.
+    pub fn insert_new(&mut self, event: Event, purged: &mut Vec<PurgedEvent>) {
+        debug_assert!(!self.contains(event.id()), "insert_new of a buffered id");
+        if 2 * (self.ids.len() + 1) > self.index.len() {
+            self.rebuild_index(MIN_INDEX.max((2 * (self.ids.len() + 1)).next_power_of_two()));
+        }
+        let id = event.id();
+        let pos = self.ids.len() as u32;
+        let slot = self.free_slot(id);
+        self.index[slot] = pos;
+        self.ids.push(id);
+        self.ages.push(event.age());
+        self.payloads.push(event.into_payload());
+        self.evict_overflow(purged);
     }
 
     /// Max-merges the age of a buffered duplicate; returns whether the id
     /// was present.
     pub fn merge_age(&mut self, id: EventId, age: u32) -> bool {
-        match self.slots.get_mut(&id) {
+        match self.find(id) {
             Some(slot) => {
-                slot.event.merge_age(age);
+                let own = &mut self.ages[self.index[slot] as usize];
+                *own = (*own).max(age);
                 true
             }
             None => false,
@@ -143,62 +183,65 @@ impl EventBuffer {
 
     /// Increments the age of every buffered event by one round.
     pub fn increment_ages(&mut self) {
-        for slot in self.slots.values_mut() {
-            slot.event.increment_age();
+        for age in &mut self.ages {
+            *age = age.saturating_add(1);
         }
     }
 
     /// Removes all events whose age exceeds `age_cap` (Figure 1's `k`)
-    /// and returns them.
-    pub fn purge_age_cap(&mut self, age_cap: u32) -> Vec<PurgedEvent> {
-        let victims: Vec<EventId> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.event.age() > age_cap)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut purged: Vec<PurgedEvent> = victims
-            .into_iter()
-            .map(|id| {
-                let slot = self.slots.remove(&id).expect("victim present");
-                PurgedEvent {
+    /// and appends them to `purged`, sorted by id.
+    pub fn purge_age_cap(&mut self, age_cap: u32, purged: &mut Vec<PurgedEvent>) {
+        let start = purged.len();
+        purged.extend(
+            self.ids
+                .iter()
+                .zip(&self.ages)
+                .filter(|&(_, &age)| age > age_cap)
+                .map(|(&id, &age)| PurgedEvent {
                     id,
-                    age: slot.event.age(),
+                    age,
                     reason: PurgeReason::AgeCap,
-                }
-            })
-            .collect();
-        // Deterministic reporting order regardless of storage order.
-        purged.sort_by_key(|p| p.id);
-        purged
+                }),
+        );
+        if purged.len() == start {
+            return;
+        }
+        // Deterministic reporting order, independent of storage order.
+        purged[start..].sort_unstable_by_key(|p| p.id);
+        // Compact the survivors to the front, in order.
+        let mut kept = 0;
+        for pos in 0..self.ids.len() {
+            if self.ages[pos] <= age_cap {
+                self.ids.swap(kept, pos);
+                self.ages.swap(kept, pos);
+                self.payloads.swap(kept, pos);
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.ages.truncate(kept);
+        self.payloads.truncate(kept);
+        self.rebuild_index(self.index.len());
     }
 
-    fn evict_overflow(&mut self) -> Vec<PurgedEvent> {
-        let mut purged = Vec::new();
-        while self.slots.len() > self.capacity {
+    fn evict_overflow(&mut self, purged: &mut Vec<PurgedEvent>) {
+        while self.ids.len() > self.capacity {
             // Victim: highest age, FIFO (earliest insertion) among equal
-            // ages, then smallest id — the age-based purging heuristic
-            // with a fully deterministic tiebreak.
-            let victim = self
-                .slots
-                .iter()
-                .max_by(|(ida, a), (idb, b)| {
-                    a.event
-                        .age()
-                        .cmp(&b.event.age())
-                        .then_with(|| b.inserted.cmp(&a.inserted))
-                        .then_with(|| idb.cmp(ida))
-                })
-                .map(|(&id, _)| id)
-                .expect("non-empty: len > capacity >= 0");
-            let slot = self.slots.remove(&victim).expect("victim present");
+            // ages — the age-based purging heuristic. Positions are
+            // insertion order, so the first maximum is the victim.
+            let mut victim = 0;
+            for (pos, &age) in self.ages.iter().enumerate().skip(1) {
+                if age > self.ages[victim] {
+                    victim = pos;
+                }
+            }
             purged.push(PurgedEvent {
-                id: victim,
-                age: slot.event.age(),
+                id: self.ids[victim],
+                age: self.ages[victim],
                 reason: PurgeReason::Overflow,
             });
+            self.remove_at(victim);
         }
-        purged
     }
 
     /// The ages of the `count` events that would be evicted if the capacity
@@ -214,81 +257,135 @@ impl EventBuffer {
         // must not probe the counted set per buffered event when that
         // set is empty.
         let eligible = if already_counted.is_empty() {
-            self.slots.len()
+            self.ids.len()
         } else {
-            self.slots
-                .values()
-                .filter(|s| !already_counted.contains(&s.event.id()))
+            self.ids
+                .iter()
+                .filter(|id| !already_counted.contains(id))
                 .count()
         };
         if eligible <= hypothetical_capacity {
             return Vec::new();
         }
         let excess = eligible - hypothetical_capacity;
-        let mut candidates: Vec<&Slot> = self
-            .slots
-            .values()
-            .filter(|s| !already_counted.contains(&s.event.id()))
+        let mut candidates: Vec<usize> = (0..self.ids.len())
+            .filter(|&pos| !already_counted.contains(&self.ids[pos]))
             .collect();
-        // Eviction order: highest age first, then FIFO, then id.
-        candidates.sort_by(|a, b| {
-            b.event
-                .age()
-                .cmp(&a.event.age())
-                .then_with(|| a.inserted.cmp(&b.inserted))
-                .then_with(|| a.event.id().cmp(&b.event.id()))
-        });
+        // Eviction order: highest age first, then FIFO.
+        candidates.sort_unstable_by_key(|&pos| (std::cmp::Reverse(self.ages[pos]), pos));
         candidates
             .into_iter()
             .take(excess)
-            .map(|slot| (slot.event.id(), slot.event.age()))
+            .map(|pos| (self.ids[pos], self.ages[pos]))
             .collect()
     }
 
     /// Snapshot of the buffered events (for gossip emission), in insertion
     /// order for determinism.
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        self.snapshot_into(&mut out);
-        out
-    }
-
-    /// Writes the insertion-ordered snapshot into a reusable buffer (the
-    /// per-round emission path; avoids allocating a fresh vector every
-    /// gossip round).
-    pub fn snapshot_into(&self, out: &mut Vec<Event>) {
-        out.clear();
-        let mut slots: Vec<&Slot> = self.slots.values().collect();
-        slots.sort_by_key(|s| s.inserted);
-        out.extend(slots.into_iter().map(|s| s.event.clone()));
+        self.events().collect()
     }
 
     /// The insertion-ordered snapshot as a shared [`EventList`](crate::EventList): one
     /// allocation backs every gossip copy emitted this round.
     pub fn snapshot_shared(&self) -> crate::event::EventList {
-        let mut slots: Vec<&Slot> = self.slots.values().collect();
-        slots.sort_by_key(|s| s.inserted);
-        slots.into_iter().map(|s| s.event.clone()).collect()
+        self.events().collect()
     }
 
-    /// Iterates over buffered events in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.slots.values().map(|s| &s.event)
+    fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.ages)
+            .zip(&self.payloads)
+            .map(|((&id, &age), payload)| Event::with_age(id, age, payload.clone()))
+    }
+
+    /// The home slot of `id` in an index of the current length
+    /// (Fibonacci hashing: the top bits of a multiplicative hash).
+    fn home(&self, id: EventId) -> usize {
+        let key = id.seq() ^ u64::from(id.origin().as_u32()).rotate_left(32);
+        let shift = 64 - self.index.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// The index slot holding `id`, if buffered.
+    fn find(&self, id: EventId) -> Option<usize> {
+        if self.index.is_empty() {
+            return None;
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(id);
+        loop {
+            match self.index[slot] {
+                EMPTY => return None,
+                pos if self.ids[pos as usize] == id => return Some(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The first free slot on `id`'s probe sequence.
+    fn free_slot(&self, id: EventId) -> usize {
+        let mask = self.index.len() - 1;
+        let mut slot = self.home(id);
+        while self.index[slot] != EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    fn rebuild_index(&mut self, len: usize) {
+        self.index.clear();
+        self.index.resize(len, EMPTY);
+        for pos in 0..self.ids.len() {
+            let slot = self.free_slot(self.ids[pos]);
+            self.index[slot] = pos as u32;
+        }
+    }
+
+    /// Removes the event at `pos`, keeping the others in insertion order.
+    fn remove_at(&mut self, pos: usize) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home(self.ids[pos]);
+        while self.index[hole] != pos as u32 {
+            hole = (hole + 1) & mask;
+        }
+        // Backward-shift deletion: pull later members of the probe run
+        // into the hole whenever their home slot allows it, so lookups
+        // never need tombstones.
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let moved = self.index[slot];
+            if moved == EMPTY {
+                break;
+            }
+            let home = self.home(self.ids[moved as usize]);
+            if slot.wrapping_sub(home) & mask >= slot.wrapping_sub(hole) & mask {
+                self.index[hole] = moved;
+                hole = slot;
+            }
+        }
+        self.index[hole] = EMPTY;
+        self.ids.remove(pos);
+        self.ages.remove(pos);
+        self.payloads.remove(pos);
+        let pos = pos as u32;
+        for entry in &mut self.index {
+            *entry -= u32::from(*entry != EMPTY && *entry > pos);
+        }
     }
 }
 
 impl agb_profile::MemReport for EventBuffer {
     fn mem_usage(&self) -> agb_profile::MemUsage {
-        let slot = (std::mem::size_of::<EventId>() + std::mem::size_of::<Slot>()) as u64;
-        let payloads: u64 = self
-            .slots
-            .values()
-            .map(|s| s.event.payload().len() as u64)
-            .sum();
-        agb_profile::MemUsage::new(
-            self.slots.len() as u64 * slot + payloads,
-            self.slots.len() as u64,
-        )
+        use std::mem::size_of;
+        let arrays = self.ids.capacity() * size_of::<EventId>()
+            + self.ages.capacity() * size_of::<u32>()
+            + self.payloads.capacity() * size_of::<Payload>()
+            + self.index.capacity() * size_of::<u32>();
+        let payloads: usize = self.payloads.iter().map(Payload::len).sum();
+        agb_profile::MemUsage::new((arrays + payloads) as u64, self.ids.len() as u64)
     }
 }
 
@@ -360,9 +457,7 @@ mod tests {
         buf.insert(ev(0, 0));
         buf.insert(ev(1, 3));
         buf.increment_ages();
-        let mut ages: Vec<u32> = buf.iter().map(Event::age).collect();
-        ages.sort_unstable();
-        assert_eq!(ages, vec![1, 4]);
+        assert_eq!(buf.ages(), &[1, 4]);
     }
 
     #[test]
@@ -371,7 +466,8 @@ mod tests {
         buf.insert(ev(0, 3));
         buf.insert(ev(1, 10));
         buf.insert(ev(2, 11));
-        let purged = buf.purge_age_cap(10);
+        let mut purged = Vec::new();
+        buf.purge_age_cap(10, &mut purged);
         assert_eq!(purged.len(), 1);
         assert_eq!(purged[0].id, EventId::new(NodeId::new(0), 2));
         assert_eq!(purged[0].reason, PurgeReason::AgeCap);
@@ -384,7 +480,8 @@ mod tests {
         for (seq, age) in [(0, 1), (1, 7), (2, 3), (3, 5)] {
             buf.insert(ev(seq, age));
         }
-        let purged = buf.set_capacity(2);
+        let mut purged = Vec::new();
+        buf.set_capacity(2, &mut purged);
         assert_eq!(buf.capacity(), 2);
         let ages: Vec<u32> = purged.iter().map(|p| p.age).collect();
         assert_eq!(ages, vec![7, 5]);
@@ -402,7 +499,8 @@ mod tests {
         let ages: Vec<u32> = would.iter().map(|&(_, a)| a).collect();
         assert_eq!(ages, vec![7, 5]);
         // Shrinking for real gives the same victims.
-        let purged = buf.set_capacity(2);
+        let mut purged = Vec::new();
+        buf.set_capacity(2, &mut purged);
         let actual: Vec<EventId> = purged.iter().map(|p| p.id).collect();
         let predicted: Vec<EventId> = would.iter().map(|&(id, _)| id).collect();
         assert_eq!(actual, predicted);
@@ -439,6 +537,29 @@ mod tests {
         }
         let ids: Vec<u64> = buf.snapshot().iter().map(|e| e.id().seq()).collect();
         assert_eq!(ids, vec![3, 1, 2]);
+    }
+
+    #[test]
+    fn large_buffer_finds_every_id_through_growth_and_eviction() {
+        let mut buf = EventBuffer::new(1_000);
+        for seq in 0..3_000 {
+            let purged = buf.insert(ev(seq, (seq % 7) as u32));
+            assert_eq!(purged.len(), usize::from(seq >= 1_000));
+        }
+        assert_eq!(buf.len(), 1_000);
+        let buffered: Vec<(EventId, u32)> = buf
+            .ids()
+            .iter()
+            .copied()
+            .zip(buf.ages().iter().copied())
+            .collect();
+        for (id, age) in buffered {
+            assert!(buf.merge_age(id, age));
+        }
+        let absent = (0..3_000)
+            .filter(|&seq| !buf.contains(EventId::new(NodeId::new(0), seq)))
+            .count();
+        assert_eq!(absent, 2_000);
     }
 
     #[test]

@@ -66,6 +66,12 @@ impl Event {
         &self.payload
     }
 
+    /// Moves the payload out (the buffer stores ids, ages and payloads
+    /// in separate arrays).
+    pub(crate) fn into_payload(self) -> Payload {
+        self.payload
+    }
+
     /// Increments the age by one round (Figure 1, "update ages").
     pub fn increment_age(&mut self) {
         self.age = self.age.saturating_add(1);

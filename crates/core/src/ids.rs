@@ -1,8 +1,9 @@
 //! The bounded duplicate-suppression digest (`eventIds` in Figure 1).
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use agb_types::{EventId, FastHashSet};
+use agb_types::{EventId, FastHashMap};
 
 /// FIFO-bounded set of already-seen event identifiers.
 ///
@@ -11,6 +12,12 @@ use agb_types::{EventId, FastHashSet};
 /// buffer is typically far larger than the event buffer. Evicting an id too
 /// early can cause a circulating copy to be re-delivered — the paper accepts
 /// this, and so do we (the metrics layer counts deliveries once per node).
+///
+/// Membership is a bitmap per 64-sequence block of each origin: sequence
+/// numbers are dense per origin, so a window of ~1 500 ids fits in a few
+/// dozen words instead of a 1 500-slot hash set. The set stays exact for
+/// every input, and hostile sequence numbers cost at worst one block per
+/// remembered id, so memory stays bounded by the capacity.
 ///
 /// # Example
 ///
@@ -30,8 +37,18 @@ use agb_types::{EventId, FastHashSet};
 #[derive(Debug, Clone)]
 pub struct EventIdBuffer {
     capacity: usize,
+    /// Remembered ids, oldest first: the expiry order.
     order: VecDeque<EventId>,
-    set: FastHashSet<EventId>,
+    /// `(origin, seq / 64)` → bit `seq % 64` set for each remembered id.
+    blocks: FastHashMap<EventId, u64>,
+}
+
+/// The block key and bit of `id` in [`EventIdBuffer::blocks`].
+fn block_of(id: EventId) -> (EventId, u64) {
+    (
+        EventId::new(id.origin(), id.seq() >> 6),
+        1 << (id.seq() & 63),
+    )
 }
 
 impl EventIdBuffer {
@@ -44,7 +61,7 @@ impl EventIdBuffer {
         EventIdBuffer {
             capacity,
             order: VecDeque::new(),
-            set: FastHashSet::default(),
+            blocks: FastHashMap::default(),
         }
     }
 
@@ -54,13 +71,21 @@ impl EventIdBuffer {
         if self.capacity == 0 {
             return true; // Degenerate: remembers nothing, everything is new.
         }
-        if !self.set.insert(id) {
+        let (key, bit) = block_of(id);
+        let word = self.blocks.entry(key).or_insert(0);
+        if *word & bit != 0 {
             return false;
         }
+        *word |= bit;
         self.order.push_back(id);
-        while self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
+        if self.order.len() > self.capacity {
+            let old = self.order.pop_front().expect("over capacity");
+            let (key, bit) = block_of(old);
+            if let Entry::Occupied(mut word) = self.blocks.entry(key) {
+                *word.get_mut() &= !bit;
+                if *word.get() == 0 {
+                    word.remove();
+                }
             }
         }
         true
@@ -68,7 +93,8 @@ impl EventIdBuffer {
 
     /// Whether `id` has been seen (and not yet evicted).
     pub fn contains(&self, id: EventId) -> bool {
-        self.set.contains(&id)
+        let (key, bit) = block_of(id);
+        self.blocks.get(&key).is_some_and(|word| word & bit != 0)
     }
 
     /// Number of remembered ids.
@@ -89,10 +115,12 @@ impl EventIdBuffer {
 
 impl agb_profile::MemReport for EventIdBuffer {
     fn mem_usage(&self) -> agb_profile::MemUsage {
-        // Each remembered id lives twice: once in the FIFO order queue
-        // and once in the dedup set (plus hash-table slot overhead).
-        let per_id = (2 * std::mem::size_of::<EventId>() + 8) as u64;
-        agb_profile::MemUsage::new(self.order.len() as u64 * per_id, self.order.len() as u64)
+        // The FIFO queue holds each remembered id once; the bitmap table
+        // holds one key and word per live block (plus its control byte).
+        use std::mem::size_of;
+        let queue = self.order.capacity() * size_of::<EventId>();
+        let blocks = self.blocks.capacity() * (size_of::<(EventId, u64)>() + 1);
+        agb_profile::MemUsage::new((queue + blocks) as u64, self.order.len() as u64)
     }
 }
 

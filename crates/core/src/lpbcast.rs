@@ -23,16 +23,14 @@ use crate::ids::EventIdBuffer;
 use crate::token_bucket::TokenBucket;
 use crate::traits::{GossipProtocol, OfferOutcome, ProtocolEvent};
 
-/// What happened while ingesting one gossip message (consumed by the
-/// adaptive wrapper's congestion accounting).
-#[derive(Debug, Clone, Default)]
+/// What happened while ingesting one gossip message; the buffer
+/// evictions it caused are in [`LpbcastNode::take_removals`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReceiveReport {
     /// Events newly stored (and delivered) from this message.
     pub newly_stored: usize,
     /// Duplicate events whose age was max-merged.
     pub duplicates: usize,
-    /// Events evicted by overflow while storing this message.
-    pub purged: Vec<PurgedEvent>,
 }
 
 /// The lpbcast state machine of Figure 1.
@@ -129,10 +127,13 @@ impl<S: GossipMembership> LpbcastNode<S> {
         &mut self.membership
     }
 
-    /// Every event removed from the buffer since the last call (consumed
-    /// by the adaptive wrapper's congestion accounting).
-    pub fn take_removals(&mut self) -> Vec<PurgedEvent> {
-        std::mem::take(&mut self.removals)
+    /// Drains the events removed from the buffer since the last drain, in
+    /// removal order; the backing vector keeps its capacity. The adaptive
+    /// wrapper feeds them to its congestion accounting after every call.
+    /// `receive` and `run_round` discard undrained removals first, so a
+    /// node nobody drains (plain lpbcast) holds one call's worth at most.
+    pub fn take_removals(&mut self) -> std::vec::Drain<'_, PurgedEvent> {
+        self.removals.drain(..)
     }
 
     /// Broadcasts unconditionally (no throttle): assigns the next sequence
@@ -149,32 +150,40 @@ impl<S: GossipMembership> LpbcastNode<S> {
             from: self.id,
             at: now,
         });
-        let purged = self.events.insert(event);
-        self.record_purges(purged, now);
+        // A forged copy of this id may already be buffered: merge into it
+        // as a duplicate would.
+        if !self.events.merge_age(id, 0) {
+            let start = self.removals.len();
+            self.events.insert_new(event, &mut self.removals);
+            self.report_drops(start, now);
+        }
         id
     }
 
-    fn record_purges(&mut self, purged: Vec<PurgedEvent>, now: TimeMs) {
-        for p in purged {
-            self.removals.push(p);
-            self.out_events.push(ProtocolEvent::Dropped {
-                id: p.id,
-                age: p.age,
-                reason: p.reason,
-                at: now,
-            });
-        }
+    /// Emits a `Dropped` event for every removal from `start` on.
+    fn report_drops(&mut self, start: usize, now: TimeMs) {
+        self.out_events.extend(
+            self.removals[start..]
+                .iter()
+                .map(|p| ProtocolEvent::Dropped {
+                    id: p.id,
+                    age: p.age,
+                    reason: p.reason,
+                    at: now,
+                }),
+        );
     }
 
     /// Ingests a gossip message, returning what changed (Figure 1 receive
     /// handler).
     pub fn receive(&mut self, from: NodeId, msg: GossipMessage, now: TimeMs) -> ReceiveReport {
+        self.removals.clear();
         let mut report = ReceiveReport::default();
         self.membership
             .observe_gossip(from, &msg.membership, &mut self.rng);
         for event in &msg.events {
             // Most circulating copies are duplicates of events still
-            // buffered: probe the small, hot buffer map first, and
+            // buffered: probe the small, hot buffer index first, and
             // consult the (much larger) seen-id set only on a miss.
             // Identical to the id-set-first order whenever the id
             // window outlives buffered events (all shipped configs:
@@ -193,9 +202,9 @@ impl<S: GossipMembership> LpbcastNode<S> {
                     from,
                     at: now,
                 });
-                let purged = self.events.insert(event.clone());
-                report.purged.extend(purged.iter().cloned());
-                self.record_purges(purged, now);
+                let start = self.removals.len();
+                self.events.insert_new(event.clone(), &mut self.removals);
+                self.report_drops(start, now);
             } else {
                 report.duplicates += 1;
             }
@@ -206,11 +215,13 @@ impl<S: GossipMembership> LpbcastNode<S> {
     /// Runs the periodic part of Figure 1: age updates, age-cap garbage
     /// collection, admission of throttled messages, and gossip emission.
     pub fn run_round(&mut self, now: TimeMs) -> Vec<(NodeId, GossipMessage)> {
+        self.removals.clear();
         self.round += 1;
         self.membership.on_round();
         self.events.increment_ages();
-        let expired = self.events.purge_age_cap(self.config.age_cap);
-        self.record_purges(expired, now);
+        self.events
+            .purge_age_cap(self.config.age_cap, &mut self.removals);
+        self.report_drops(0, now);
         self.admit_pending(now);
         self.emit(now)
     }
@@ -309,8 +320,9 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
     }
 
     fn set_buffer_capacity(&mut self, capacity: usize, now: TimeMs) {
-        let purged = self.events.set_capacity(capacity);
-        self.record_purges(purged, now);
+        let start = self.removals.len();
+        self.events.set_capacity(capacity, &mut self.removals);
+        self.report_drops(start, now);
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -380,7 +392,6 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
             .iter()
             .map(|p| (p.len() + std::mem::size_of::<Payload>()) as u64)
             .sum();
-        let view = self.membership.view_size() as u64;
         vec![
             ("event_buffer", self.events.mem_usage()),
             ("event_ids", self.ids.mem_usage()),
@@ -388,10 +399,7 @@ impl<S: GossipMembership> GossipProtocol for LpbcastNode<S> {
                 "pending_offers",
                 MemUsage::new(pending_bytes, self.pending.len() as u64),
             ),
-            (
-                "membership_view",
-                MemUsage::new(view * std::mem::size_of::<NodeId>() as u64, view),
-            ),
+            ("membership_view", self.membership.view_mem_usage()),
         ]
     }
 }
@@ -542,8 +550,24 @@ mod tests {
             )]),
             TimeMs::ZERO,
         );
-        assert_eq!(report.purged.len(), 1);
-        assert_eq!(report.purged[0].age, 6);
+        assert_eq!(report.newly_stored, 1);
+        let removed: Vec<PurgedEvent> = n.take_removals().collect();
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].age, 6);
+        assert_eq!(removed[0].reason, PurgeReason::Overflow);
+        assert_eq!(n.take_removals().len(), 0);
+    }
+
+    #[test]
+    fn undrained_removals_stay_bounded() {
+        let mut cfg = GossipConfig::default();
+        cfg.max_events = 1;
+        let mut n = node(0, cfg);
+        for seq in 0..50 {
+            let e = Event::new(EventId::new(NodeId::new(2), seq), Payload::new());
+            n.receive(NodeId::new(2), msg_with(vec![e]), TimeMs::ZERO);
+        }
+        // A plain node nobody drains keeps only the last call's removals.
         assert_eq!(n.take_removals().len(), 1);
     }
 

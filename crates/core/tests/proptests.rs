@@ -4,13 +4,123 @@ use std::collections::HashSet;
 
 use agb_core::{
     BuffAd, Event, EventBuffer, EventIdBuffer, KSmallestSet, MinBuffConfig, MinBuffEstimator,
-    PurgeReason, TokenBucket,
+    PurgeReason, PurgedEvent, TokenBucket,
 };
-use agb_types::{DurationMs, EventId, NodeId, Payload, TimeMs};
+use agb_types::{DurationMs, EventId, FastHashSet, NodeId, Payload, TimeMs};
 use proptest::prelude::*;
+use proptest::ProptestConfig;
 
 fn ev(origin: u32, seq: u64, age: u32) -> Event {
     Event::with_age(EventId::new(NodeId::new(origin), seq), age, Payload::new())
+}
+
+/// `EventBuffer`'s contract written naively: an unordered slot list with
+/// an explicit insertion counter, victims chosen by a full comparison
+/// (highest age, then earliest insertion, then smallest id).
+struct ModelBuffer {
+    slots: Vec<(EventId, u32, u64)>,
+    capacity: usize,
+    next: u64,
+}
+
+impl ModelBuffer {
+    fn new(capacity: usize) -> Self {
+        ModelBuffer {
+            slots: Vec::new(),
+            capacity,
+            next: 0,
+        }
+    }
+
+    fn merge_age(&mut self, id: EventId, age: u32) -> bool {
+        match self.slots.iter_mut().find(|s| s.0 == id) {
+            Some(slot) => {
+                slot.1 = slot.1.max(age);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn insert(&mut self, id: EventId, age: u32) -> Vec<PurgedEvent> {
+        if self.merge_age(id, age) {
+            return Vec::new();
+        }
+        self.slots.push((id, age, self.next));
+        self.next += 1;
+        self.evict()
+    }
+
+    fn evict(&mut self) -> Vec<PurgedEvent> {
+        let mut purged = Vec::new();
+        while self.slots.len() > self.capacity {
+            let (i, _) = self
+                .slots
+                .iter()
+                .enumerate()
+                .max_by(|(_, a), (_, b)| {
+                    a.1.cmp(&b.1)
+                        .then_with(|| b.2.cmp(&a.2))
+                        .then_with(|| b.0.cmp(&a.0))
+                })
+                .expect("over capacity");
+            let (id, age, _) = self.slots.remove(i);
+            purged.push(PurgedEvent {
+                id,
+                age,
+                reason: PurgeReason::Overflow,
+            });
+        }
+        purged
+    }
+
+    fn set_capacity(&mut self, capacity: usize) -> Vec<PurgedEvent> {
+        self.capacity = capacity;
+        self.evict()
+    }
+
+    fn increment_ages(&mut self) {
+        for slot in &mut self.slots {
+            slot.1 = slot.1.saturating_add(1);
+        }
+    }
+
+    fn purge_age_cap(&mut self, cap: u32) -> Vec<PurgedEvent> {
+        let mut purged: Vec<PurgedEvent> = self
+            .slots
+            .iter()
+            .filter(|s| s.1 > cap)
+            .map(|s| PurgedEvent {
+                id: s.0,
+                age: s.1,
+                reason: PurgeReason::AgeCap,
+            })
+            .collect();
+        purged.sort_by_key(|p| p.id);
+        self.slots.retain(|s| s.1 <= cap);
+        purged
+    }
+
+    fn would_evict(&self, capacity: usize, counted: &FastHashSet<EventId>) -> Vec<(EventId, u32)> {
+        let mut candidates: Vec<_> = self
+            .slots
+            .iter()
+            .filter(|s| !counted.contains(&s.0))
+            .collect();
+        let excess = candidates.len().saturating_sub(capacity);
+        candidates.sort_by(|a, b| {
+            b.1.cmp(&a.1)
+                .then_with(|| a.2.cmp(&b.2))
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        candidates.iter().take(excess).map(|s| (s.0, s.1)).collect()
+    }
+
+    fn snapshot(&self) -> Vec<(EventId, u32)> {
+        let mut slots = self.slots.clone();
+        slots.sort_by_key(|s| s.2);
+        slots.into_iter().map(|s| (s.0, s.1)).collect()
+    }
 }
 
 proptest! {
@@ -35,8 +145,7 @@ proptest! {
     ) {
         let mut buf = EventBuffer::new(capacity);
         for (seq, age) in inserts {
-            let ages_before: Vec<u32> = buf.iter().map(Event::age).collect();
-            let max_before = ages_before.iter().copied().max().unwrap_or(0);
+            let max_before = buf.ages().iter().copied().max().unwrap_or(0);
             let incoming = ev(0, seq, age);
             let was_new = !buf.contains(incoming.id());
             let purged = buf.insert(incoming);
@@ -62,41 +171,57 @@ proptest! {
             buf.insert(ev(0, seq, age));
         }
         let predicted: Vec<EventId> = buf
-            .would_evict(shrink_to, &agb_types::FastHashSet::default())
+            .would_evict(shrink_to, &FastHashSet::default())
             .into_iter()
             .map(|(id, _)| id)
             .collect();
-        let actual: Vec<EventId> = buf
-            .set_capacity(shrink_to)
-            .into_iter()
-            .map(|p| p.id)
-            .collect();
+        let mut purged = Vec::new();
+        buf.set_capacity(shrink_to, &mut purged);
+        let actual: Vec<EventId> = purged.into_iter().map(|p| p.id).collect();
         prop_assert_eq!(predicted, actual);
     }
 
-    /// Duplicate suppression remembers at most `capacity` ids, FIFO.
+    /// Duplicate suppression remembers exactly the last `capacity`
+    /// distinct ids, over several origins and the block-edge sequence
+    /// numbers of the bitmap layout (0, 63, 64, `u64::MAX`, sparse).
     #[test]
     fn id_buffer_bounded_and_exact(
         capacity in 1usize..50,
-        ids in proptest::collection::vec(0u64..100, 0..200),
+        ids in proptest::collection::vec((0u32..4, 0u8..8, any::<u64>()), 0..200),
     ) {
         let mut buf = EventIdBuffer::new(capacity);
-        let mut model: Vec<u64> = Vec::new(); // insertion-ordered, unique
-        for seq in ids {
-            let id = EventId::new(NodeId::new(0), seq);
+        let mut model: Vec<EventId> = Vec::new(); // insertion-ordered, unique
+        for (origin, kind, raw) in ids {
+            let seq = match kind {
+                0 => 0,
+                1 => 63,
+                2 => 64,
+                3 => u64::MAX,
+                4 => u64::MAX - 64,
+                5 => raw % 200,   // dense
+                6 => raw % 4_096, // a few per block
+                _ => raw,         // sparse: one block per id
+            };
+            let id = EventId::new(NodeId::new(origin), seq);
             let was_new = buf.insert(id);
-            let model_new = !model.contains(&seq);
+            let model_new = !model.contains(&id);
             prop_assert_eq!(was_new, model_new);
             if model_new {
-                model.push(seq);
+                model.push(id);
                 if model.len() > capacity {
-                    model.remove(0);
+                    let expired = model.remove(0);
+                    prop_assert!(!buf.contains(expired));
                 }
             }
-            prop_assert!(buf.len() <= capacity);
+            prop_assert_eq!(buf.len(), model.len());
         }
-        for &seq in &model {
-            prop_assert!(buf.contains(EventId::new(NodeId::new(0), seq)));
+        for &id in &model {
+            prop_assert!(buf.contains(id));
+        }
+        // Neighbours of remembered ids in the same block stay unknown.
+        for &id in &model {
+            let next = EventId::new(id.origin(), id.seq() ^ 1);
+            prop_assert_eq!(buf.contains(next), model.contains(&next));
         }
     }
 
@@ -197,6 +322,76 @@ proptest! {
             }
             prop_assert!(e.age() >= last);
             last = e.age();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `EventBuffer` agrees with the naive model on every operation:
+    /// the same victims in the same order, the same dedup answers, the
+    /// same would-drop predictions and the same snapshot order. Capacities
+    /// reach 99 so the position index grows several times, and ids
+    /// cluster on a few origins so index probe runs collide and wrap.
+    #[test]
+    fn event_buffer_matches_reference_model(
+        capacity in 0usize..100,
+        ops in proptest::collection::vec((0u8..16, 0u32..3, 0u64..150, 0u32..14), 0..300),
+    ) {
+        let mut buf = EventBuffer::new(capacity);
+        let mut model = ModelBuffer::new(capacity);
+        let mut counted = FastHashSet::default();
+        for (op, origin, seq, arg) in ops {
+            let id = EventId::new(NodeId::new(origin), seq);
+            match op {
+                0..=5 => {
+                    prop_assert_eq!(buf.insert(ev(origin, seq, arg)), model.insert(id, arg));
+                }
+                6 | 7 => {
+                    // The receive path: probe, then insert a known-absent id.
+                    let hit = buf.merge_age(id, arg);
+                    prop_assert_eq!(hit, model.merge_age(id, arg));
+                    if !hit {
+                        let mut purged = Vec::new();
+                        buf.insert_new(ev(origin, seq, arg), &mut purged);
+                        prop_assert_eq!(purged, model.insert(id, arg));
+                    }
+                }
+                8 | 9 => {
+                    buf.increment_ages();
+                    model.increment_ages();
+                }
+                10 => {
+                    let mut purged = Vec::new();
+                    buf.purge_age_cap(arg, &mut purged);
+                    prop_assert_eq!(purged, model.purge_age_cap(arg));
+                }
+                11 => {
+                    let capacity = (seq % 100) as usize;
+                    let mut purged = Vec::new();
+                    buf.set_capacity(capacity, &mut purged);
+                    prop_assert_eq!(purged, model.set_capacity(capacity));
+                }
+                12 => {
+                    if counted.contains(&id) {
+                        counted.remove(&id);
+                    } else {
+                        counted.insert(id);
+                    }
+                }
+                _ => {
+                    let hypothetical = (seq % 100) as usize;
+                    prop_assert_eq!(
+                        buf.would_evict(hypothetical, &counted),
+                        model.would_evict(hypothetical, &counted)
+                    );
+                }
+            }
+            prop_assert_eq!(buf.contains(id), model.slots.iter().any(|s| s.0 == id));
+            let snapshot: Vec<(EventId, u32)> =
+                buf.snapshot().iter().map(|e| (e.id(), e.age())).collect();
+            prop_assert_eq!(snapshot, model.snapshot());
         }
     }
 }

@@ -272,18 +272,6 @@ fn sample_unsubs(list: &[Unsubscription], amount: usize, rng: &mut DetRng) -> Ve
         .collect()
 }
 
-impl agb_profile::MemReport for PartialView {
-    fn mem_usage(&self) -> agb_profile::MemUsage {
-        let id = std::mem::size_of::<NodeId>();
-        let bytes = (self.view.len() + self.subs.len()) * id
-            + self.unsubs.len() * std::mem::size_of::<Unsubscription>();
-        agb_profile::MemUsage::new(
-            bytes as u64,
-            (self.view.len() + self.subs.len() + self.unsubs.len()) as u64,
-        )
-    }
-}
-
 impl PeerSampler for PartialView {
     fn sample(&self, rng: &mut DetRng, fanout: usize, exclude: NodeId) -> Vec<NodeId> {
         let candidates: Vec<NodeId> = self
@@ -312,6 +300,16 @@ impl PeerSampler for PartialView {
 
     fn view(&self) -> Vec<NodeId> {
         self.view.clone()
+    }
+
+    fn view_mem_usage(&self) -> agb_profile::MemUsage {
+        let id = std::mem::size_of::<NodeId>();
+        let bytes = (self.view.len() + self.subs.len()) * id
+            + self.unsubs.len() * std::mem::size_of::<Unsubscription>();
+        agb_profile::MemUsage::new(
+            bytes as u64,
+            (self.view.len() + self.subs.len() + self.unsubs.len()) as u64,
+        )
     }
 }
 

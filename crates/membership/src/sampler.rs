@@ -1,5 +1,6 @@
 //! The peer-sampling abstraction used by the gossip protocols.
 
+use agb_profile::MemUsage;
 use agb_types::{DetRng, NodeId};
 
 /// Source of random gossip targets.
@@ -39,6 +40,15 @@ pub trait PeerSampler {
 
     /// Snapshot of the current view (order unspecified).
     fn view(&self) -> Vec<NodeId>;
+
+    /// Resident bytes and entries the view itself stores. The default is
+    /// nothing, right for views computed from their size ([`FullView`]);
+    /// a view that keeps a member list must override it.
+    ///
+    /// [`FullView`]: crate::FullView
+    fn view_mem_usage(&self) -> MemUsage {
+        MemUsage::default()
+    }
 }
 
 #[cfg(test)]

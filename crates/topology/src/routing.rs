@@ -368,13 +368,7 @@ impl<S: GossipMembership> GossipProtocol for RoutingNode<S> {
                 MemUsage::new(relay_bytes, self.relay.len() as u64),
             ),
             ("event_ids", self.ids.mem_usage()),
-            (
-                "membership_view",
-                MemUsage::new(
-                    (self.membership.view_size() * std::mem::size_of::<NodeId>()) as u64,
-                    self.membership.view_size() as u64,
-                ),
-            ),
+            ("membership_view", self.membership.view_mem_usage()),
         ]
     }
 }
@@ -382,7 +376,7 @@ impl<S: GossipMembership> GossipProtocol for RoutingNode<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agb_membership::{FullView, LocalitySampler};
+    use agb_membership::{FullView, LocalitySampler, PeerSampler};
     use agb_types::topology::Topology;
     use rand::SeedableRng;
 
@@ -581,7 +575,7 @@ mod tests {
         ));
         assert_eq!(n.round(), 0);
         assert_eq!(n.config().fanout, 4);
-        assert_eq!(n.membership().members().len(), 8);
+        assert_eq!(n.membership().view_size(), 8);
         n.membership_mut();
         GossipProtocol::evict_peer(&mut n, NodeId::new(3));
     }

@@ -216,3 +216,68 @@ fn crashed_nodes_do_not_block_the_rest() {
         report.atomic_fraction
     );
 }
+
+/// Golden fingerprint of a small overloaded adaptive cluster, with and
+/// without recovery: engine checksum and counts, plus the protocol-level
+/// outcomes the engine checksum cannot see (admissions, deliveries,
+/// buffer drops by reason and the exact mean age of overflow victims).
+/// A change to the receive path that alters any dedup answer, eviction
+/// victim or snapshot order moves at least one of these.
+fn golden(recovery: bool) -> [u64; 8] {
+    let mut c = base(200, 11, Algorithm::Adaptive, 20, 40.0);
+    c.gossip.max_event_ids = 400;
+    c.gossip.age_cap = 6;
+    if recovery {
+        c.network = adaptive_gossip::sim::NetworkConfig::lossy(0.05);
+        c.recovery = Some(adaptive_gossip::recovery::RecoveryConfig::default());
+    }
+    let mut cluster = GossipCluster::build(c);
+    cluster.run_until(TimeMs::from_secs(15));
+    let stats = cluster.sim_stats();
+    let m = cluster.metrics();
+    let drops = m.drop_ages();
+    [
+        stats.checksum,
+        stats.sends,
+        stats.deliveries,
+        m.admitted().total(),
+        m.delivered().total(),
+        drops.overflow_count(),
+        drops.age_cap_count(),
+        drops.mean_overflow_age().map_or(0, f64::to_bits),
+    ]
+}
+
+#[test]
+fn golden_adaptive_fingerprint() {
+    assert_eq!(
+        golden(false),
+        [
+            0x02c5_0ebf_6ff6_0a88,
+            12_000,
+            11_200,
+            475,
+            74_133,
+            70_113,
+            32,
+            0x4010_18df_4f74_6f47,
+        ]
+    );
+}
+
+#[test]
+fn golden_adaptive_recovery_fingerprint() {
+    assert_eq!(
+        golden(true),
+        [
+            0xca35_e8f0_d7b8_e692,
+            17_680,
+            16_012,
+            455,
+            78_832,
+            74_818,
+            19,
+            0x400e_a79e_7f3e_6ae1,
+        ]
+    );
+}
